@@ -253,6 +253,7 @@ impl JsonValue {
     /// garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let mut parser = JsonParser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -338,6 +339,7 @@ impl JsonValue {
 }
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -450,6 +452,20 @@ impl JsonParser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one piece.  Those bytes are ASCII, so both ends of the run
+            // are char boundaries of the (already valid UTF-8) input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| self.err("invalid UTF-8"))?,
+            );
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -499,16 +515,7 @@ impl JsonParser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -518,8 +525,13 @@ impl JsonParser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        // Four hex digits exactly: `from_str_radix` alone would also take
+        // a leading `+`.
+        let hex = self
+            .text
+            .get(self.pos..end)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let unit = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(unit)
@@ -560,6 +572,7 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod parse_tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn documents_round_trip() {
@@ -625,5 +638,87 @@ mod parse_tests {
         assert!(error.message.contains("MAX_JSON_DEPTH"), "{error}");
         let fine = "[".repeat(8) + &"]".repeat(8);
         assert!(JsonValue::parse(&fine).is_ok());
+    }
+
+    #[test]
+    fn multi_byte_runs_beside_escapes() {
+        for (text, expected) in [
+            (r#""é\n中\t😀""#, "é\n中\t😀"),
+            (r#""\"é\\中\/😀\b""#, "\"é\\中/😀\u{8}"),
+            (r#""é😀中""#, "é😀中"),
+            (r#""😀😀éé中中""#, "😀😀éé中中"),
+            (r#""😀Aé\u0001中""#, "😀Aé\u{1}中"),
+            (r#""éé中中😀😀""#, "éé中中😀😀"),
+        ] {
+            let value = JsonValue::parse(text).unwrap();
+            assert_eq!(value.as_str(), Some(expected), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_string_round_trips() {
+        let piece = "ascii run é中😀 \"quoted\" back\\slash\n\t\u{1}";
+        let original = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let parsed = JsonValue::parse(&original.to_json()).unwrap();
+        assert_eq!(parsed.as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn control_characters_and_lone_surrogates_are_typed_errors() {
+        for (text, offset, message) in [
+            ("\"ab\u{1}cd\"", 3, "raw control character in string"),
+            ("\"é\u{1f}\"", 3, "raw control character in string"),
+            ("\"a\nb\"", 2, "raw control character in string"),
+            (r#""\ud800""#, 7, "lone high surrogate"),
+            (r#""é\ud83dé""#, 9, "lone high surrogate"),
+            (r#""\udc00""#, 7, "lone low surrogate"),
+            (r#""\ud800A""#, 7, "lone high surrogate"),
+            (r#""\ud800\u0041""#, 13, "invalid low surrogate"),
+            (r#""\u+041""#, 3, "invalid \\u escape"),
+            (r#""\u00é""#, 3, "invalid \\u escape"),
+            (r#""\u12"#, 3, "truncated \\u escape"),
+        ] {
+            let error = JsonValue::parse(text).unwrap_err();
+            assert_eq!(
+                error,
+                JsonParseError {
+                    offset,
+                    message: message.to_string()
+                },
+                "{text:?}"
+            );
+        }
+    }
+
+    /// Strings spread over 1-, 2-, 3- and 4-byte UTF-8 scalars; the 1-byte
+    /// class holds the control characters, quote and backslash.
+    fn arbitrary_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0usize..4, 0u32..0x11_0000), 0..48).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(class, draw)| {
+                    let (lo, hi) = [
+                        (0, 0x80),
+                        (0x80, 0x800),
+                        (0x800, 0x1_0000),
+                        (0x1_0000, 0x11_0000),
+                    ][class];
+                    char::from_u32(lo + draw % (hi - lo)).unwrap_or('\u{FFFD}')
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn to_json_then_parse_is_the_identity(text in arbitrary_string()) {
+            let parsed = JsonValue::parse(&text.to_json()).unwrap();
+            prop_assert_eq!(parsed.as_str(), Some(text.as_str()));
+            let mut obj = JsonObject::new();
+            obj.field(&text, &text);
+            let parsed = JsonValue::parse(&obj.finish()).unwrap();
+            prop_assert_eq!(parsed, JsonValue::Object(vec![(text.clone(), JsonValue::String(text))]));
+        }
     }
 }

@@ -57,6 +57,7 @@ impl DiagnosisClient {
     /// Connects to a server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         let writer = stream.try_clone()?;
         Ok(Self {

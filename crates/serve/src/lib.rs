@@ -19,7 +19,8 @@
 //!   [`Request`] / [`Response`] encode/decode on both sides;
 //! * [`server`] — a std-only TCP server: thread-per-connection behind a
 //!   bounded accept pool, graceful shutdown, per-connection read
-//!   timeouts;
+//!   timeouts, an error response (not a hang-up) for an answer over the
+//!   frame cap;
 //! * [`client`] — the matching blocking [`DiagnosisClient`];
 //! * [`coordinator`] — a [`Coordinator`] that shards one campaign's fault
 //!   universe across worker *processes* (`examples/campaign_worker.rs`),

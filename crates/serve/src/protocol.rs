@@ -5,7 +5,9 @@
 //! UTF-8 JSON.  Frames never embed newlines semantically, so the payload
 //! is free-form JSON; the length prefix (not a delimiter) bounds it, the
 //! same discipline as the FSM-validated session protocol the exemplar
-//! client/server split uses.
+//! client/server split uses.  Each frame leaves in a single write and both
+//! ends set `TCP_NODELAY`, so a small request or answer is never held
+//! back waiting for an ACK.
 //!
 //! Digests travel as `"0x%016x"` hex strings (a JSON number would round
 //! through `f64` in sloppy readers); signatures are at most
@@ -58,6 +60,10 @@ fn malformed(message: impl Into<String>) -> ProtocolError {
 }
 
 /// Writes one frame: `u32` big-endian length, then the JSON bytes.
+///
+/// Prefix and payload go out in a single `write_all`: split into two
+/// small writes on a TCP stream, the second would wait behind Nagle's
+/// algorithm for the peer's delayed ACK.
 pub fn write_frame<W: Write>(writer: &mut W, json: &str) -> Result<(), ProtocolError> {
     let bytes = json.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
@@ -66,8 +72,10 @@ pub fn write_frame<W: Write>(writer: &mut W, json: &str) -> Result<(), ProtocolE
             bytes.len()
         )));
     }
-    writer.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -592,6 +600,41 @@ mod tests {
         assert!(read_frame(&mut partial_len, MAX_FRAME_BYTES).is_err());
         let mut partial_payload: &[u8] = &[0, 0, 0, 10, b'{'];
         assert!(read_frame(&mut partial_payload, MAX_FRAME_BYTES).is_err());
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_prefix_and_payload() {
+        let request = Request::Query(Query::new("dk16", 0x3FF));
+        let json = request.encode();
+        let mut sink = CountingWriter::default();
+        write_frame(&mut sink, &json).expect("write");
+        assert_eq!(sink.writes, 1);
+        assert_eq!(sink.bytes[..4], (json.len() as u32).to_be_bytes());
+        assert_eq!(&sink.bytes[4..], json.as_bytes());
+        let mut cursor = &sink.bytes[..];
+        let value = read_frame(&mut cursor, MAX_FRAME_BYTES)
+            .expect("read")
+            .expect("frame");
+        assert_eq!(Request::decode(&value).expect("decode"), request);
     }
 
     #[test]

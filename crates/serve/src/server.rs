@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, ProtocolError, Request, Response};
+use crate::protocol::{read_frame, write_frame, ProtocolError, Request, Response, MAX_FRAME_BYTES};
 use crate::service::ServiceHandle;
 
 /// Server knobs.
@@ -23,7 +23,8 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; the acceptor blocks (TCP
     /// backlog holds the rest) once the pool is full.
     pub max_connections: usize,
-    /// Per-frame payload cap for this server.
+    /// Per-frame payload cap for this server, on requests and answers
+    /// alike (answers are also held to [`MAX_FRAME_BYTES`]).
     pub max_frame_bytes: usize,
     /// Per-connection read timeout: an idle peer is disconnected rather
     /// than pinning a pool slot forever.
@@ -34,7 +35,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 8,
-            max_frame_bytes: crate::protocol::MAX_FRAME_BYTES,
+            max_frame_bytes: MAX_FRAME_BYTES,
             read_timeout: Duration::from_secs(30),
         }
     }
@@ -168,13 +169,17 @@ fn accept_loop(
 
 /// Serves one connection until EOF, a protocol violation or the read
 /// timeout.  Schema-level violations get an error response before the
-/// disconnect; transport errors just drop the connection.
+/// disconnect; transport errors just drop the connection.  An answer
+/// larger than the frame cap is replaced by an error response and the
+/// connection keeps serving.
 fn serve_connection(
     stream: TcpStream,
     handle: &ServiceHandle,
     config: &ServerConfig,
 ) -> Result<(), ProtocolError> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(config.read_timeout))?;
+    let frame_cap = config.max_frame_bytes.min(MAX_FRAME_BYTES);
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -195,6 +200,14 @@ fn serve_connection(
             Ok(Request::Batch(queries)) => Response::Batch(handle.query_batch(&queries)),
             Err(error) => Response::Error(error.to_string()),
         };
-        write_frame(&mut writer, &response.encode())?;
+        let mut encoded = response.encode();
+        if encoded.len() > frame_cap {
+            encoded = Response::Error(format!(
+                "response of {} bytes exceeds the frame cap of {frame_cap} bytes",
+                encoded.len()
+            ))
+            .encode();
+        }
+        write_frame(&mut writer, &encoded)?;
     }
 }

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use stfsm::bist::netlist::Netlist;
 use stfsm::testsim::artifact::DictionaryArtifact;
@@ -13,8 +14,8 @@ use stfsm::{
     SimEngine, SynthesisFlow,
 };
 use stfsm_serve::{
-    Catalog, DiagnosisClient, DiagnosisServer, DiagnosisService, Query, RankedCandidate,
-    ServerConfig,
+    Catalog, ClientError, DiagnosisClient, DiagnosisServer, DiagnosisService, Query,
+    RankedCandidate, Request, Response, ServerConfig,
 };
 
 const PATTERNS: usize = 128;
@@ -111,6 +112,18 @@ fn assert_candidates_match(
     }
 }
 
+/// A catalog served from a fresh `dk16` artifact, plus that campaign.
+fn served_dk16(tag: &str) -> (DiagnosisService, CampaignOutcome, PathBuf) {
+    let (netlist, config, outcome) = dictionary_campaign("dk16");
+    let artifact = DictionaryArtifact::from_outcome(&netlist, &config, &outcome).expect("artifact");
+    let dir = scratch_dir(tag);
+    let path = dir.join("dk16.dict");
+    artifact.write_to(&path).expect("write artifact");
+    let mut catalog = Catalog::new();
+    assert_eq!(catalog.load(&path).expect("catalog load"), "dk16");
+    (DiagnosisService::new(catalog), outcome, dir)
+}
+
 #[test]
 fn artifact_loaded_service_answers_identically_to_in_memory() {
     let machines = ["dk16", "mark1"];
@@ -158,15 +171,7 @@ fn artifact_loaded_service_answers_identically_to_in_memory() {
 
 #[test]
 fn tcp_round_trip_matches_in_process_answers() {
-    let (netlist, config, outcome) = dictionary_campaign("dk16");
-    let artifact = DictionaryArtifact::from_outcome(&netlist, &config, &outcome).expect("artifact");
-    let dir = scratch_dir("tcp");
-    let path = dir.join("dk16.dict");
-    artifact.write_to(&path).expect("write artifact");
-
-    let mut catalog = Catalog::new();
-    assert_eq!(catalog.load(&path).expect("catalog load"), "dk16");
-    let service = DiagnosisService::new(catalog);
+    let (service, outcome, dir) = served_dk16("tcp");
     let reference = reference_diagnosis(&outcome);
 
     let server = DiagnosisServer::start("127.0.0.1:0", service.handle(), ServerConfig::default())
@@ -231,6 +236,84 @@ fn tcp_round_trip_matches_in_process_answers() {
             reference.candidates(signature).len()
         );
     }
+
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_queries_cost_no_transport_stall() {
+    let (service, outcome, dir) = served_dk16("latency");
+    let handle = service.handle();
+    let server = DiagnosisServer::start("127.0.0.1:0", handle.clone(), ServerConfig::default())
+        .expect("server start");
+    let mut client = DiagnosisClient::connect(server.local_addr()).expect("connect");
+
+    // 200 closed-loop round trips.  A frame held back by Nagle's algorithm
+    // until the peer's delayed ACK costs tens of milliseconds per query
+    // (at least 17 s here); an unstalled loopback round trip costs well
+    // under a millisecond.
+    let signatures = probe_signatures(&outcome);
+    let queries: Vec<Query> = signatures
+        .iter()
+        .cycle()
+        .take(200)
+        .map(|&signature| Query::new("dk16", signature))
+        .collect();
+    let started = Instant::now();
+    let answers: Vec<_> = queries
+        .iter()
+        .map(|query| client.query(query).expect("query"))
+        .collect();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "200 sequential queries took {elapsed:?}"
+    );
+    for (query, answer) in queries.iter().zip(&answers) {
+        assert_eq!(*answer, handle.query(query));
+    }
+
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_answer_gets_an_error_and_the_connection_survives() {
+    let (service, outcome, dir) = served_dk16("oversize");
+    let handle = service.handle();
+    let config = ServerConfig {
+        max_frame_bytes: 4096,
+        ..ServerConfig::default()
+    };
+    let cap = config.max_frame_bytes;
+    let server =
+        DiagnosisServer::start("127.0.0.1:0", handle.clone(), config).expect("server start");
+    let mut client = DiagnosisClient::connect(server.local_addr()).expect("connect");
+
+    // A batch whose request fits the cap and whose answer does not.
+    let batch: Vec<Query> = probe_signatures(&outcome)
+        .into_iter()
+        .take(32)
+        .map(|signature| Query::new("dk16", signature))
+        .collect();
+    assert!(Request::Batch(batch.clone()).encode().len() <= cap);
+    let answer_bytes = Response::Batch(handle.query_batch(&batch)).encode().len();
+    assert!(answer_bytes > cap, "answer of {answer_bytes} bytes fits");
+
+    match client.query_batch(&batch) {
+        Err(ClientError::Remote(message)) => {
+            assert!(message.contains(&answer_bytes.to_string()), "{message}");
+            assert!(message.contains(&cap.to_string()), "{message}");
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    // Same connection, still served.
+    client.ping().expect("ping after the error");
+    let query = Query::new("dk16", batch[0].signature);
+    assert_eq!(client.query(&query).expect("query"), handle.query(&query));
 
     drop(client);
     server.shutdown();
